@@ -275,15 +275,17 @@ std::optional<uint64_t> BPlusTree::Get(uint64_t key) const {
   ChunkId cur = kRootChunk;
   for (;;) {
     ReadNode(cur, node);
-    if (node.IsLeaf()) {
-      const size_t pos = node.LowerBound(key);
-      if (pos < node.count && node.entries[pos].key == key) {
-        return node.entries[pos].value;
-      }
-      return std::nullopt;
-    }
+    if (node.IsLeaf()) break;
     cur = static_cast<ChunkId>(node.entries[node.ChildIndexFor(key)].value);
   }
+  // Lock-free like the remote reader, so the same stale-parent case:
+  // move right past a leaf that ends below the key.
+  while (node.EndsBelow(key)) ReadNode(static_cast<ChunkId>(node.next), node);
+  const size_t pos = node.LowerBound(key);
+  if (pos < node.count && node.entries[pos].key == key) {
+    return node.entries[pos].value;
+  }
+  return std::nullopt;
 }
 
 size_t BPlusTree::Scan(uint64_t lo, uint64_t hi,

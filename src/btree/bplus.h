@@ -69,6 +69,13 @@ struct BNodeData {
   size_t ChildIndexFor(uint64_t key) const noexcept;
   /// Lowest index i with entries[i].key >= key (leaves).
   size_t LowerBound(uint64_t key) const noexcept;
+  /// True for a leaf with a right sibling whose keys all sort below
+  /// `key` (or that holds none): a reader routed here by a stale parent
+  /// must move right along the chain to find `key`.
+  bool EndsBelow(uint64_t key) const noexcept {
+    return IsLeaf() && next != kNoLeaf &&
+           (count == 0 || entries[count - 1].key < key);
+  }
 };
 
 size_t EncodeBNode(const BNodeData& node, std::span<std::byte> payload);

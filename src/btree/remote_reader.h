@@ -41,15 +41,23 @@ class RemoteBTreeReader {
     for (;;) {
       if (const auto st = FetchNode(cur, node); st != remote::FetchStatus::kOk)
         return st;
-      if (node.IsLeaf()) {
-        const size_t pos = node.LowerBound(key);
-        if (pos < node.count && node.entries[pos].key == key) {
-          out = node.entries[pos].value;
-        }
-        return remote::FetchStatus::kOk;
-      }
+      if (node.IsLeaf()) break;
       cur = static_cast<ChunkId>(node.entries[node.ChildIndexFor(key)].value);
     }
+    // An internal node read before a concurrent split of its child routes
+    // to the split node's left half, one leaf left of the right one; the
+    // leaf chain, which a split links before the parent learns of it,
+    // leads on to the key.
+    while (node.EndsBelow(key)) {
+      if (const auto st = FetchNode(static_cast<ChunkId>(node.next), node);
+          st != remote::FetchStatus::kOk)
+        return st;
+    }
+    const size_t pos = node.LowerBound(key);
+    if (pos < node.count && node.entries[pos].key == key) {
+      out = node.entries[pos].value;
+    }
+    return remote::FetchStatus::kOk;
   }
 
   /// Offloaded range scan along the remote leaf chain. Appends matches

@@ -202,6 +202,12 @@ ClientStatus RTreeClient::Reconnect() {
   // The old ring's rkey stays registered; quarantine the memory so a
   // stale mapping can never dangle (see retired_ring_mem_).
   retired_ring_mem_.push_back(std::move(response_ring_mem_));
+  // The ack cell, by contrast, is reset and reused by the next
+  // incarnation, so retire its old registration first: Deregister waits
+  // out an ack WRITE the old server already started, and a later one
+  // through the stale rkey fails instead of landing in the reset cell.
+  node_->Deregister(owned_mrs_.back());
+  owned_mrs_.pop_back();
   try {
     WireUp(reconnect_shake_);
   } catch (const std::exception&) {
@@ -406,21 +412,24 @@ void RTreeClient::AwaitTraceFrame(uint64_t req_id) {
 }
 
 void RTreeClient::PumpPending() {
-  while (auto m = response_rx_->TryReceive()) {
-    if (static_cast<msg::MsgType>(m->type) == msg::MsgType::kHeartbeat) {
-      if (const auto hb = msg::DecodeHeartbeat(m->payload)) {
+  // Runs before every operation, offloaded ones included, so it receives
+  // into a reused message instead of allocating one per heartbeat.
+  msg::Message& m = pump_msg_;
+  while (response_rx_->TryReceive(m)) {
+    if (static_cast<msg::MsgType>(m.type) == msg::MsgType::kHeartbeat) {
+      if (const auto hb = msg::DecodeHeartbeat(m.payload)) {
         OnHeartbeatMessage(*hb);
       }
       continue;
     }
-    if (static_cast<msg::MsgType>(m->type) == msg::MsgType::kTraceResp) {
-      OnTraceFrame(*m);
+    if (static_cast<msg::MsgType>(m.type) == msg::MsgType::kTraceResp) {
+      OnTraceFrame(m);
       continue;
     }
     // No request is in flight, so this answers a req_id we gave up on —
     // typically the original ack of a write that was then retried (and
     // deduped server-side). Dropping it here is what makes retries safe.
-    PayloadReqId(m->payload);  // malformed payloads still throw
+    PayloadReqId(m.payload);  // malformed payloads still throw
     ++stats_.stale_responses;
     CATFISH_COUNT("catfish.client.stale_responses");
   }
@@ -753,10 +762,11 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
   const ClientStats before = stats_;
 
   std::vector<rtree::Entry> results;
-  std::vector<rtree::ChunkId> frontier{boot_.root};
-  std::vector<rtree::ChunkId> next;
-  std::vector<rtree::ChunkId> to_fetch;
-  rtree::NodeData node;
+  std::vector<rtree::ChunkId>& frontier = offload_frontier_;
+  std::vector<rtree::ChunkId>& next = offload_next_;
+  std::vector<rtree::ChunkId>& to_fetch = offload_to_fetch_;
+  rtree::NodeData& node = offload_node_;
+  frontier.assign(1, boot_.root);
 
   // Caching is only sound once a heartbeat supplied the epoch to
   // invalidate against (staleness is then bounded by the heartbeat

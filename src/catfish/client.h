@@ -459,8 +459,10 @@ class RTreeClient {
   /// straggler write against freed memory must stay impossible even if
   /// an old peer outlives its closed QP.
   std::vector<std::vector<std::byte>> retired_ring_mem_;
-  /// Every region this client registered (one ring + ack pair per
-  /// incarnation). The destructor retires exactly these — the node may
+  /// Every region this client still has registered: one response ring
+  /// per incarnation and the current incarnation's ack cell (Reconnect
+  /// retires the old cell's registration before reusing the cell). The
+  /// destructor retires exactly these — the node may
   /// be shared with sibling clients whose registrations must survive,
   /// so a blanket DeregisterAll would yank theirs and let fresh
   /// registrations alias their rkeys.
@@ -490,6 +492,16 @@ class RTreeClient {
   ClientStats stats_;
   uint64_t next_req_id_ = 0;
   const uint64_t client_gen_;  ///< process-unique write-session id
+
+  /// PumpPending's receive buffer (payload capacity reused).
+  msg::Message pump_msg_;
+
+  /// SearchOffloaded's per-level scratch, reused across searches so a
+  /// warmed-up offloaded search allocates nothing but its results.
+  std::vector<rtree::ChunkId> offload_frontier_;
+  std::vector<rtree::ChunkId> offload_next_;
+  std::vector<rtree::ChunkId> offload_to_fetch_;
+  rtree::NodeData offload_node_;
 
   /// Cell-style cache of internal nodes (cfg_.cache_internal_nodes).
   std::unordered_map<rtree::ChunkId, rtree::NodeData> node_cache_;

@@ -10,10 +10,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "common/clock.h"
 #include "telemetry/metrics.h"
@@ -59,9 +59,8 @@ class CompletionQueue {
     CATFISH_COUNT("rdma.polls");
     const std::scoped_lock lock(mu_);
     size_t n = 0;
-    while (n < out.size() && !queue_.empty()) {
-      out[n] = queue_.front();
-      queue_.pop_front();
+    while (n < out.size() && size_ != 0) {
+      out[n] = PopLocked();
       RecordDelay(out[n]);
       ++n;
     }
@@ -73,11 +72,10 @@ class CompletionQueue {
   /// channel (ibv_get_cq_event) followed by a poll.
   std::optional<WorkCompletion> Wait(std::chrono::microseconds timeout) {
     std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout, [this] { return !queue_.empty(); })) {
+    if (!cv_.wait_for(lock, timeout, [this] { return size_ != 0; })) {
       return std::nullopt;
     }
-    WorkCompletion wc = queue_.front();
-    queue_.pop_front();
+    const WorkCompletion wc = PopLocked();
     RecordDelay(wc);
     return wc;
   }
@@ -86,8 +84,7 @@ class CompletionQueue {
   void Push(const WorkCompletion& wc) {
     {
       const std::scoped_lock lock(mu_);
-      queue_.push_back(wc);
-      queue_.back().posted_ns = NowNanos();
+      PushLocked(wc, NowNanos());
     }
     cv_.notify_one();
   }
@@ -101,20 +98,44 @@ class CompletionQueue {
     {
       const std::scoped_lock lock(mu_);
       const uint64_t now = NowNanos();
-      for (const WorkCompletion& wc : wcs) {
-        queue_.push_back(wc);
-        queue_.back().posted_ns = now;
-      }
+      for (const WorkCompletion& wc : wcs) PushLocked(wc, now);
     }
     cv_.notify_all();
   }
 
   size_t Depth() const {
     const std::scoped_lock lock(mu_);
-    return queue_.size();
+    return size_;
   }
 
  private:
+  // The queue is a ring over ring_ (a power-of-two size) that doubles
+  // when full and never shrinks, so a CQ stops allocating once it has
+  // held its deepest backlog.
+  void PushLocked(const WorkCompletion& wc, uint64_t now) {
+    if (size_ == ring_.size()) Grow();
+    WorkCompletion& slot = ring_[(head_ + size_) & (ring_.size() - 1)];
+    slot = wc;
+    slot.posted_ns = now;
+    ++size_;
+  }
+
+  WorkCompletion PopLocked() noexcept {
+    const WorkCompletion wc = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
+    return wc;
+  }
+
+  void Grow() {
+    std::vector<WorkCompletion> bigger(ring_.empty() ? 16 : ring_.size() * 2);
+    for (size_t i = 0; i < size_; ++i) {
+      bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+
   /// Time from NIC delivery to consumer pickup — the sim's analogue of
   /// completion latency (how long work sat in the CQ).
   static void RecordDelay(const WorkCompletion& wc) noexcept {
@@ -131,7 +152,9 @@ class CompletionQueue {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<WorkCompletion> queue_;
+  std::vector<WorkCompletion> ring_;
+  size_t head_ = 0;
+  size_t size_ = 0;
 };
 
 }  // namespace catfish::rdma

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <iterator>
 #include <thread>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -161,7 +162,9 @@ uint64_t FaultController::SlowDelayUs(const std::string& local,
 // ---------------------------------------------------------------------------
 
 MemoryRegionHandle SimNode::RegisterMemory(std::span<std::byte> mem) {
-  const std::scoped_lock lock(mu_);
+  // A writer like Deregister: push_back may move regions_, which posters
+  // read without a lock while they hold their slot.
+  const RegionWriter writer(*this);
   regions_.push_back(mem);
   return MemoryRegionHandle{static_cast<uint32_t>(regions_.size()),
                             mem.size()};
@@ -188,27 +191,74 @@ std::shared_ptr<QueuePair> SimNode::FindQp(uint32_t qp_num) const {
   return it == qps_.end() ? nullptr : it->second.lock();
 }
 
-std::span<std::byte> SimNode::ResolveMr(uint32_t rkey) const {
+SimNode::NicSlot* SimNode::AcquireSlot() {
   const std::scoped_lock lock(mu_);
+  if (!free_slots_.empty()) {
+    NicSlot* slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  slots_.push_back(std::make_unique<NicSlot>());
+  return slots_.back().get();
+}
+
+void SimNode::ReleaseSlot(NicSlot* slot) {
+  const std::scoped_lock lock(mu_);
+  free_slots_.push_back(slot);
+}
+
+// The barrier is Dekker-style: a poster announces itself in its own slot
+// and then checks writer_; a writer raises writer_ and then checks every
+// slot. With both sides sequentially consistent, at least one of them
+// sees the other, so a copy never overlaps a region change.
+SimNode::RegionReader::RegionReader(const SimNode& node,
+                                    NicSlot& slot) noexcept
+    : slot_(slot) {
+  for (;;) {
+    slot_.active.fetch_add(1, std::memory_order_seq_cst);
+    if (!node.writer_.load(std::memory_order_seq_cst)) return;
+    slot_.active.fetch_sub(1, std::memory_order_release);
+    while (node.writer_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+}
+
+SimNode::RegionReader::~RegionReader() {
+  slot_.active.fetch_sub(1, std::memory_order_release);
+}
+
+SimNode::RegionWriter::RegionWriter(SimNode& node)
+    : node_(node), lock_(node.mu_) {
+  node_.writer_.store(true, std::memory_order_seq_cst);
+  for (const auto& slot : node_.slots_) {
+    while (slot->active.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
+    }
+  }
+}
+
+SimNode::RegionWriter::~RegionWriter() {
+  node_.writer_.store(false, std::memory_order_release);
+}
+
+std::span<std::byte> SimNode::ResolveMr(uint32_t rkey) const noexcept {
   if (rkey == 0 || rkey > regions_.size()) return {};
   return regions_[rkey - 1];
 }
 
 void SimNode::Deregister(MemoryRegionHandle mr) {
-  // Exclusive on mr_mu_ waits out any copy the "NIC" already started
+  // Draining the slots waits out any copy the "NIC" already started
   // against this region; blanking the slot (indices are rkeys) keeps
   // every other registration's rkey stable.
-  const std::unique_lock barrier(mr_mu_);
-  const std::scoped_lock lock(mu_);
-  if (mr.rkey == 0 || mr.rkey > regions_.size()) return;
-  regions_[mr.rkey - 1] = {};
+  const RegionWriter writer(*this);
+  if (mr.rkey != 0 && mr.rkey <= regions_.size()) regions_[mr.rkey - 1] = {};
 }
 
 void SimNode::DeregisterAll() {
-  // Exclusive on mr_mu_: in-flight copies hold it shared, so acquiring
-  // it waits them out; afterwards stale rkeys resolve an empty span.
-  const std::unique_lock barrier(mr_mu_);
-  const std::scoped_lock lock(mu_);
+  // In-flight copies hold their slots, so draining them waits them out;
+  // afterwards stale rkeys resolve an empty span.
+  const RegionWriter writer(*this);
   regions_.clear();
 }
 
@@ -217,8 +267,7 @@ void SimNode::Invalidate() {
   {
     // Same in-flight barrier as DeregisterAll: a reboot must not yank
     // memory out from under a copy the NIC already started serving.
-    const std::unique_lock barrier(mr_mu_);
-    const std::scoped_lock lock(mu_);
+    const RegionWriter writer(*this);
     regions_.clear();  // stale rkeys now fail with kRemoteAccessError
     for (auto& [num, weak] : qps_) {
       if (auto qp = weak.lock()) live.push_back(std::move(qp));
@@ -232,52 +281,61 @@ void SimNode::Invalidate() {
   }
 }
 
-void SimNode::CountSent(uint64_t bytes) {
-  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void SimNode::CountReceived(uint64_t bytes) {
-  bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
 NicStats SimNode::stats() const {
   NicStats s;
-  s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  s.writes_posted = writes_posted_.load(std::memory_order_relaxed);
-  s.reads_posted = reads_posted_.load(std::memory_order_relaxed);
-  s.reads_served = reads_served_.load(std::memory_order_relaxed);
-  s.imm_delivered = imm_delivered_.load(std::memory_order_relaxed);
+  const std::scoped_lock lock(mu_);
+  for (const auto& slot : slots_) {
+    s.bytes_sent += slot->bytes_sent.load(std::memory_order_relaxed);
+    s.bytes_received += slot->bytes_received.load(std::memory_order_relaxed);
+    s.writes_posted += slot->writes_posted.load(std::memory_order_relaxed);
+    s.reads_posted += slot->reads_posted.load(std::memory_order_relaxed);
+    s.reads_served += slot->reads_served.load(std::memory_order_relaxed);
+    s.imm_delivered += slot->imm_delivered.load(std::memory_order_relaxed);
+  }
   return s;
 }
 
 void SimNode::ResetStats() {
-  bytes_sent_.store(0, std::memory_order_relaxed);
-  bytes_received_.store(0, std::memory_order_relaxed);
-  writes_posted_.store(0, std::memory_order_relaxed);
-  reads_posted_.store(0, std::memory_order_relaxed);
-  reads_served_.store(0, std::memory_order_relaxed);
-  imm_delivered_.store(0, std::memory_order_relaxed);
+  const std::scoped_lock lock(mu_);
+  for (const auto& slot : slots_) {
+    slot->bytes_sent.store(0, std::memory_order_relaxed);
+    slot->bytes_received.store(0, std::memory_order_relaxed);
+    slot->writes_posted.store(0, std::memory_order_relaxed);
+    slot->reads_posted.store(0, std::memory_order_relaxed);
+    slot->reads_served.store(0, std::memory_order_relaxed);
+    slot->imm_delivered.store(0, std::memory_order_relaxed);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // QueuePair
 // ---------------------------------------------------------------------------
 
+QueuePair::~QueuePair() {
+  node_->ReleaseSlot(home_slot_);
+  if (peer_slot_ != nullptr) peer_node_->ReleaseSlot(peer_slot_);
+}
+
 void QueuePair::Connect(const std::shared_ptr<QueuePair>& a,
                         const std::shared_ptr<QueuePair>& b) {
-  {
-    const std::scoped_lock lock(a->peer_mu_);
-    a->peer_ = b;
-    a->peer_node_ = b->node_;
-    a->closed_ = false;
-  }
-  {
-    const std::scoped_lock lock(b->peer_mu_);
-    b->peer_ = a;
-    b->peer_node_ = a->node_;
-    b->closed_ = false;
-  }
+  const auto wire = [](QueuePair& self,
+                       const std::shared_ptr<QueuePair>& other) {
+    // Take the slot on the new peer node before peer_mu_, so the node's
+    // mutex is never acquired under a QP's.
+    SimNode::NicSlot* slot = other->node_->AcquireSlot();
+    std::shared_ptr<SimNode> old_node;
+    SimNode::NicSlot* old_slot = nullptr;
+    {
+      const std::scoped_lock lock(self.peer_mu_);
+      self.peer_ = other;
+      old_node = std::exchange(self.peer_node_, other->node_);
+      old_slot = std::exchange(self.peer_slot_, slot);
+      self.closed_ = false;
+    }
+    if (old_slot != nullptr) old_node->ReleaseSlot(old_slot);
+  };
+  wire(*a, b);
+  wire(*b, a);
 }
 
 bool QueuePair::connected() const {
@@ -315,8 +373,9 @@ void QueuePair::Close() {
   }
 }
 
-WcStatus QueuePair::CheckPostFaults(std::shared_ptr<SimNode>& peer_node,
-                                    std::shared_ptr<QueuePair>& peer) {
+WcStatus QueuePair::CheckPostFaults(SimNode*& peer_node,
+                                    SimNode::NicSlot*& peer_slot,
+                                    std::shared_ptr<QueuePair>* peer) {
   {
     const std::scoped_lock lock(peer_mu_);
     if (error_) {
@@ -324,9 +383,13 @@ WcStatus QueuePair::CheckPostFaults(std::shared_ptr<SimNode>& peer_node,
       // torn down keeps reporting the error, like real hardware.
       return WcStatus::kQpError;
     }
-    peer = peer_.lock();
-    peer_node = peer_node_;
-    if (closed_ || !peer) return WcStatus::kFlushed;
+    // peer_node_ (a shared_ptr this QP holds) keeps the peer node and
+    // its slot alive, so only the IMM path pays for locking the peer QP.
+    if (peer != nullptr) *peer = peer_.lock();
+    const bool gone = peer != nullptr ? *peer == nullptr : peer_.expired();
+    if (closed_ || gone) return WcStatus::kFlushed;
+    peer_node = peer_node_.get();
+    peer_slot = peer_slot_;
   }
   // Scripted faults fire before any byte moves, so a dropped ring write
   // can never leave a partially-written record behind.
@@ -357,21 +420,24 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
   wc.qp_num = qp_num_;
   deliver = true;  // errors always complete, even for unsignaled WRs
   if (is_read) {
-    node_->reads_posted_.fetch_add(1, std::memory_order_relaxed);
+    home_slot_->reads_posted.fetch_add(1, std::memory_order_relaxed);
     reads_posted_.fetch_add(1, std::memory_order_relaxed);
     read_bytes_.fetch_add(len, std::memory_order_relaxed);
     CATFISH_COUNT("rdma.read.posted");
     CATFISH_COUNT_ADD("rdma.read.bytes", len);
   } else {
-    node_->writes_posted_.fetch_add(1, std::memory_order_relaxed);
+    home_slot_->writes_posted.fetch_add(1, std::memory_order_relaxed);
     writes_posted_.fetch_add(1, std::memory_order_relaxed);
     write_bytes_.fetch_add(len, std::memory_order_relaxed);
     CATFISH_COUNT("rdma.write.posted");
     CATFISH_COUNT_ADD("rdma.write.bytes", len);
   }
-  std::shared_ptr<SimNode> peer_node;
+  const bool imm = wr.kind == WorkRequest::Kind::kWriteImm;
+  SimNode* peer_node = nullptr;
+  SimNode::NicSlot* peer_slot = nullptr;
   std::shared_ptr<QueuePair> peer;
-  const WcStatus gate = CheckPostFaults(peer_node, peer);
+  const WcStatus gate =
+      CheckPostFaults(peer_node, peer_slot, imm ? &peer : nullptr);
   if (gate != WcStatus::kSuccess) {
     wc.status = gate;
     return false;
@@ -385,32 +451,40 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
       std::this_thread::sleep_for(std::chrono::microseconds(slow_us));
     }
   }
-  // In-flight guard: holds off DeregisterAll/Invalidate until the copy
-  // lands, so owners can free registered memory after a quiesce.
-  const std::shared_lock region_guard(peer_node->mr_mu_);
-  const auto region = peer_node->ResolveMr(wr.remote.rkey);
-  if (wr.remote.offset + len > region.size()) {
-    wc.status = WcStatus::kRemoteAccessError;
-    return false;
+  {
+    // In-flight guard: holds off RegisterMemory/Deregister/DeregisterAll/
+    // Invalidate until the copy lands, so owners can free registered
+    // memory once those return.
+    const SimNode::RegionReader guard(*peer_node, *peer_slot);
+    const auto region = peer_node->ResolveMr(wr.remote.rkey);
+    if (wr.remote.offset + len > region.size()) {
+      wc.status = WcStatus::kRemoteAccessError;
+      return false;
+    }
+    if (is_read) {
+      // Served entirely by the "NIC": no peer CPU thread participates.
+      // Real NICs read each 64-byte cache line as an atomic snapshot;
+      // SnapshotCopy reproduces that, so sub-line tears the seqlock
+      // could never see on hardware cannot happen here either
+      // (rtree/layout.h).
+      rtree::SnapshotCopy(wr.dst.data(), region.data() + wr.remote.offset,
+                          len);
+    } else {
+      LineCopy(region.data() + wr.remote.offset, wr.src.data(), len);
+    }
   }
   if (is_read) {
-    // Served entirely by the "NIC": no peer CPU thread participates.
-    // Real NICs read each 64-byte cache line as an atomic snapshot;
-    // SnapshotCopy reproduces that, so sub-line tears the seqlock could
-    // never see on hardware cannot happen here either (rtree/layout.h).
-    rtree::SnapshotCopy(wr.dst.data(), region.data() + wr.remote.offset, len);
-    peer_node->reads_served_.fetch_add(1, std::memory_order_relaxed);
-    peer_node->CountSent(len);
-    node_->CountReceived(len);
+    peer_slot->reads_served.fetch_add(1, std::memory_order_relaxed);
+    peer_slot->bytes_sent.fetch_add(len, std::memory_order_relaxed);
+    home_slot_->bytes_received.fetch_add(len, std::memory_order_relaxed);
   } else {
-    LineCopy(region.data() + wr.remote.offset, wr.src.data(), len);
-    node_->CountSent(len);
-    peer_node->CountReceived(len);
+    home_slot_->bytes_sent.fetch_add(len, std::memory_order_relaxed);
+    peer_slot->bytes_received.fetch_add(len, std::memory_order_relaxed);
   }
   wc.status = WcStatus::kSuccess;
   wc.byte_len = static_cast<uint32_t>(len);
   deliver = is_read || wr.signaled;
-  if (wr.kind == WorkRequest::Kind::kWriteImm && peer && peer->recv_cq_) {
+  if (imm && peer->recv_cq_) {
     // Data is placed before the notification fires, matching the RC
     // guarantee that the IMM completion observes the written payload.
     WorkCompletion iwc;
@@ -421,7 +495,7 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
     iwc.imm_data = wr.imm;
     iwc.byte_len = static_cast<uint32_t>(len);
     peer->recv_cq_->Push(iwc);
-    peer->node_->imm_delivered_.fetch_add(1, std::memory_order_relaxed);
+    peer_slot->imm_delivered.fetch_add(1, std::memory_order_relaxed);
     imm_sent_.fetch_add(1, std::memory_order_relaxed);
     CATFISH_COUNT("rdma.imm.delivered");
   }
@@ -446,11 +520,10 @@ size_t QueuePair::PostBatch(std::span<const WorkRequest> wrs, bool* ok) {
   CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size",
                           static_cast<double>(wrs.size()));
   WorkCompletion inline_wcs[16];
-  std::vector<WorkCompletion> heap_wcs;
   WorkCompletion* wcs = inline_wcs;
   if (wrs.size() > std::size(inline_wcs)) {
-    heap_wcs.resize(wrs.size());
-    wcs = heap_wcs.data();
+    if (batch_wcs_.size() < wrs.size()) batch_wcs_.resize(wrs.size());
+    wcs = batch_wcs_.data();
   }
   size_t delivered = 0;
   size_t succeeded = 0;

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -61,7 +60,8 @@ struct MemoryRegionHandle {
 };
 
 /// Aggregate NIC traffic counters; what Fig 2 measures as "server
-/// bandwidth" comes from these.
+/// bandwidth" comes from these. SimNode::stats() sums them over the
+/// node's per-connection slots.
 struct NicStats {
   uint64_t bytes_sent = 0;       ///< payload bytes leaving this node
   uint64_t bytes_received = 0;   ///< payload bytes arriving at this node
@@ -237,39 +237,88 @@ class SimNode : public std::enable_shared_from_this<SimNode> {
   SimNode(std::string name, Fabric* fabric, uint64_t generation)
       : name_(std::move(name)), fabric_(fabric), generation_(generation) {}
 
-  /// Resolves an rkey to the registered bytes; empty span when invalid.
-  std::span<std::byte> ResolveMr(uint32_t rkey) const;
-
   /// The restart primitive's teardown half: deregisters every memory
   /// region (stale rkeys resolve to nothing) and closes + errors every
   /// QP — what a host reboot does to its NIC state. Called by
   /// Fabric::RestartNode on the old incarnation.
   void Invalidate();
 
-  void CountSent(uint64_t bytes);
-  void CountReceived(uint64_t bytes);
+  /// One connection's slice of a node's NIC state, padded to its own
+  /// cache line. Every QP owns two: a home slot on its own node (what it
+  /// posted and received there) and a peer slot on the node it is
+  /// connected to (what it made that node serve, plus the region
+  /// barrier's in-flight count). Only the owning QP's poster writes a
+  /// slot, so the one-sided data path never writes a cache line another
+  /// client's poster writes; stats() sums the slots instead.
+  struct alignas(64) NicSlot {
+    /// Copies this QP has in flight against the node's registered memory.
+    std::atomic<uint32_t> active{0};
+    std::atomic<uint64_t> bytes_sent{0};
+    std::atomic<uint64_t> bytes_received{0};
+    std::atomic<uint64_t> writes_posted{0};
+    std::atomic<uint64_t> reads_posted{0};
+    std::atomic<uint64_t> reads_served{0};
+    std::atomic<uint64_t> imm_delivered{0};
+  };
+
+  /// Slot bookkeeping (QP creation, Connect, QP destruction). Released
+  /// slots keep their counters, so stats() stays exact, and are handed
+  /// to the next QP that needs one.
+  NicSlot* AcquireSlot();
+  void ReleaseSlot(NicSlot* slot);
+
+  /// Region lifetime barrier, reader side: while it lives the poster may
+  /// resolve rkeys and copy into/out of registered memory. Touches only
+  /// the poster's own slot and reads `writer_`, which only the (rare)
+  /// region writers store to.
+  class RegionReader {
+   public:
+    RegionReader(const SimNode& node, NicSlot& slot) noexcept;
+    ~RegionReader();
+    RegionReader(const RegionReader&) = delete;
+    RegionReader& operator=(const RegionReader&) = delete;
+
+   private:
+    NicSlot& slot_;
+  };
+  /// Writer side: holds mu_, raises `writer_` and waits until no slot
+  /// has a copy in flight. While it lives, regions_ may be changed and
+  /// the bytes behind a dropped region freed; its destructor lowers the
+  /// flag.
+  class RegionWriter {
+   public:
+    explicit RegionWriter(SimNode& node);
+    ~RegionWriter();
+    RegionWriter(const RegionWriter&) = delete;
+    RegionWriter& operator=(const RegionWriter&) = delete;
+
+   private:
+    SimNode& node_;
+    std::scoped_lock<std::mutex> lock_;
+  };
+
+  /// Resolves an rkey to the registered bytes; empty span when invalid.
+  /// Only under a RegionReader or a RegionWriter.
+  std::span<std::byte> ResolveMr(uint32_t rkey) const noexcept;
 
   std::string name_;
   /// The owning fabric (for fault checks on the data path). Nodes are
   /// only created by Fabric::CreateNode and must not outlive it.
   Fabric* fabric_;
   uint64_t generation_;
-  mutable std::mutex mu_;
-  /// Region lifetime barrier: the data path holds it shared for the
-  /// duration of a copy into/out of this node's registered memory;
-  /// DeregisterAll/Invalidate take it exclusive to wait those copies
-  /// out before the regions (and their backing bytes) go away.
-  mutable std::shared_mutex mr_mu_;
+  // What every WR reads, on a line of its own: nothing here is written
+  // outside a region writer.
+  /// Set while a region writer waits for, or holds off, in-flight copies.
+  alignas(64) std::atomic<bool> writer_{false};
+  /// Changed only by writers, with the writer flag raised.
   std::vector<std::span<std::byte>> regions_;
+
+  /// Guards qps_ and the slot lists, and serializes region writers.
+  alignas(64) mutable std::mutex mu_;
   std::unordered_map<uint32_t, std::weak_ptr<QueuePair>> qps_;
   std::atomic<uint32_t> next_qp_num_{1};
-
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> writes_posted_{0};
-  std::atomic<uint64_t> reads_posted_{0};
-  std::atomic<uint64_t> reads_served_{0};
-  std::atomic<uint64_t> imm_delivered_{0};
+  std::vector<std::unique_ptr<NicSlot>> slots_;
+  std::vector<NicSlot*> free_slots_;
 };
 
 /// One staged work request for QueuePair::PostBatch — the doorbell-
@@ -303,6 +352,10 @@ struct QpOpStats {
 /// at a time (matching verbs usage); distinct QPs are independent.
 class QueuePair {
  public:
+  ~QueuePair();
+  QueuePair(const QueuePair&) = delete;
+  QueuePair& operator=(const QueuePair&) = delete;
+
   uint32_t qp_num() const noexcept { return qp_num_; }
 
   QpOpStats op_stats() const noexcept;
@@ -359,6 +412,7 @@ class QueuePair {
             std::shared_ptr<CompletionQueue> send_cq,
             std::shared_ptr<CompletionQueue> recv_cq)
       : node_(std::move(node)),
+        home_slot_(node_->AcquireSlot()),
         qp_num_(qp_num),
         send_cq_(std::move(send_cq)),
         recv_cq_(std::move(recv_cq)) {}
@@ -374,22 +428,29 @@ class QueuePair {
   bool PostOne(const WorkRequest& wr);
 
   std::shared_ptr<SimNode> node_;
+  SimNode::NicSlot* home_slot_;  ///< on node_, for this QP's lifetime
   uint32_t qp_num_;
   std::shared_ptr<CompletionQueue> send_cq_;
   std::shared_ptr<CompletionQueue> recv_cq_;
 
   /// Fault gate shared by every post: kQpError when errored, kFlushed
   /// when closed, kRetryExceeded when the fault controller fails the op.
-  /// Fills `peer_node` / `peer` and returns kSuccess when the op may
-  /// proceed.
-  WcStatus CheckPostFaults(std::shared_ptr<SimNode>& peer_node,
-                           std::shared_ptr<QueuePair>& peer);
+  /// Fills `peer_node` / `peer_slot` (kept alive by peer_node_) and
+  /// returns kSuccess when the op may proceed. Only WRITE-with-IMM needs
+  /// the peer QP itself (for its recv CQ); it passes `peer` to get it.
+  WcStatus CheckPostFaults(SimNode*& peer_node, SimNode::NicSlot*& peer_slot,
+                           std::shared_ptr<QueuePair>* peer);
 
   mutable std::mutex peer_mu_;
   std::weak_ptr<QueuePair> peer_;
   std::shared_ptr<SimNode> peer_node_;
+  SimNode::NicSlot* peer_slot_ = nullptr;  ///< on peer_node_, by Connect
   bool closed_ = false;
   bool error_ = false;
+
+  /// PostBatch's completion staging for chains longer than its inline
+  /// array; reused, so a wide batch allocates only the first time.
+  std::vector<WorkCompletion> batch_wcs_;
 
   std::atomic<uint64_t> writes_posted_{0};
   std::atomic<uint64_t> write_bytes_{0};

@@ -87,7 +87,7 @@ VersionedFetchEngine::VersionedFetchEngine(FetchTransport* transport,
                                            std::string name,
                                            RetryPolicy policy)
     : transport_(transport), name_(std::move(name)), policy_(policy),
-      jitter_state_(policy.seed) {
+      jitter_state_(policy.seed), batch_(transport) {
 #if CATFISH_TELEMETRY_ENABLED
   auto& reg = telemetry::Registry::Global();
   m_reads_ = reg.counter("remote." + name_ + ".reads");
@@ -123,17 +123,17 @@ void VersionedFetchEngine::Backoff(uint32_t attempt) {
 
 FetchStatus VersionedFetchEngine::FetchOne(
     ChunkId id, std::span<std::byte> buf,
-    const std::function<bool(std::span<const std::byte>)>& validate) {
+    FunctionRef<bool(std::span<const std::byte>)> validate) {
   const Request req{id, buf};
   return FetchMany(
       {&req, 1},
-      [&validate](size_t, std::span<const std::byte> image) {
+      [validate](size_t, std::span<const std::byte> image) {
         return validate(image);
       });
 }
 
 FetchStatus VersionedFetchEngine::FetchMany(std::span<const Request> reqs,
-                                            const ValidateFn& validate) {
+                                            ValidateFn validate) {
   if (reqs.empty()) return FetchStatus::kOk;
   if (reqs.size() > 1) {
     ++stats_.batches;
@@ -141,7 +141,8 @@ FetchStatus VersionedFetchEngine::FetchMany(std::span<const Request> reqs,
   }
   const uint32_t max_attempts = std::max(1u, policy_.max_attempts);
 
-  MultiIssueBatcher batch(transport_);
+  MultiIssueBatcher& batch = batch_;
+  batch.Reset();
   attempts_.assign(reqs.size(), 0);
 
   FetchStatus result = FetchStatus::kOk;
@@ -149,7 +150,10 @@ FetchStatus VersionedFetchEngine::FetchMany(std::span<const Request> reqs,
   // error state) consume an attempt like a failed completion would, so a
   // flaky link is absorbed by the same bounded retry stream instead of
   // aborting the whole batch on the first refusal.
-  std::vector<uint64_t> sync_failed;
+  std::vector<uint64_t>& sync_failed = sync_failed_;
+  std::vector<size_t>& repost = repost_;
+  sync_failed.clear();
+  repost.clear();
   const auto StageOne = [&](size_t i) {
     ++stats_.reads;
     Bump(m_reads_);
@@ -174,7 +178,6 @@ FetchStatus VersionedFetchEngine::FetchMany(std::span<const Request> reqs,
   }
   FlushRound();
 
-  std::vector<size_t> repost;
   FetchCompletion wcs[64];
   for (;;) {
     for (const uint64_t tok : sync_failed) {
@@ -251,7 +254,7 @@ ScratchPool& VersionedFetchEngine::EnableScratch(size_t buf_bytes,
 }
 
 FetchStatus VersionedFetchEngine::FetchChunks(std::span<const ChunkId> ids,
-                                              const ValidateFn& validate) {
+                                              ValidateFn validate) {
   if (ids.empty()) return FetchStatus::kOk;
   if (scratch_ == nullptr) return FetchStatus::kTransportError;
   // RAII release: whatever exit FetchMany takes — kOk, retry

@@ -19,12 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "remote/scratch.h"
 #include "remote/status.h"
 #include "remote/transport.h"
@@ -96,6 +96,15 @@ class MultiIssueBatcher {
   size_t outstanding() const noexcept { return outstanding_; }
   size_t staged() const noexcept { return staged_.size(); }
 
+  /// Forgets every staged and outstanding fetch, keeping the scratch
+  /// capacity: the state of a fresh batcher, for an owner that reuses one
+  /// batcher across rounds (a round abandoned by an exception leaves
+  /// fetches counted as outstanding).
+  void Reset() noexcept {
+    staged_.clear();
+    outstanding_ = 0;
+  }
+
  private:
   FetchTransport* transport_;
   size_t outstanding_ = 0;
@@ -124,14 +133,14 @@ class VersionedFetchEngine {
   /// the seqlock versions and decodes; returning false re-fetches that
   /// chunk (bounded by the policy). Called in completion order, once per
   /// delivered image — consumers may process accepted nodes directly in
-  /// the callback.
+  /// the callback. A non-owning reference, so a capturing lambda costs no
+  /// allocation; it must not call back into this engine.
   using ValidateFn =
-      std::function<bool(size_t index, std::span<const std::byte> image)>;
+      FunctionRef<bool(size_t index, std::span<const std::byte> image)>;
 
   /// Fetches and validates one chunk.
-  FetchStatus FetchOne(
-      ChunkId id, std::span<std::byte> buf,
-      const std::function<bool(std::span<const std::byte>)>& validate);
+  FetchStatus FetchOne(ChunkId id, std::span<std::byte> buf,
+                       FunctionRef<bool(std::span<const std::byte>)> validate);
 
   /// Multi-issues every request, validating and re-fetching per item as
   /// completions arrive. Returns kOk only when every item validated;
@@ -139,8 +148,7 @@ class VersionedFetchEngine {
   /// returning, so the transport is immediately reusable. Each issue
   /// round — the initial stage-all and every retry wave — is flushed
   /// with a single transport doorbell.
-  FetchStatus FetchMany(std::span<const Request> reqs,
-                        const ValidateFn& validate);
+  FetchStatus FetchMany(std::span<const Request> reqs, ValidateFn validate);
 
   /// Creates this engine's bounded scratch pool of `capacity` reusable
   /// `buf_bytes`-sized fetch buffers; call once when the transport
@@ -159,8 +167,7 @@ class VersionedFetchEngine {
   /// retry exhaustion, transport error, or a throwing validate).
   /// Requires EnableScratch with buf_bytes ≥ the transport's chunk
   /// image size.
-  FetchStatus FetchChunks(std::span<const ChunkId> ids,
-                          const ValidateFn& validate);
+  FetchStatus FetchChunks(std::span<const ChunkId> ids, ValidateFn validate);
 
   /// For consumer-level optimistic loops layered on top of the engine
   /// (e.g. the cuckoo cross-chunk consistency recheck): account one
@@ -182,9 +189,14 @@ class VersionedFetchEngine {
   RetryPolicy policy_;
   EngineStats stats_;
   uint64_t jitter_state_;
-  std::vector<uint32_t> attempts_;  // per-request scratch, reused
+  // FetchMany/FetchChunks scratch, reused across calls so a warmed-up
+  // engine allocates nothing per fetch.
+  MultiIssueBatcher batch_;
+  std::vector<uint32_t> attempts_;
+  std::vector<uint64_t> sync_failed_;
+  std::vector<size_t> repost_;
   std::unique_ptr<ScratchPool> scratch_;
-  std::vector<Request> pooled_reqs_;  // FetchChunks scratch, reused
+  std::vector<Request> pooled_reqs_;
 
   // Metric handles (null when telemetry is compiled out).
   telemetry::Counter* m_reads_ = nullptr;

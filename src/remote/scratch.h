@@ -18,6 +18,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -62,8 +63,13 @@ class ScratchPool {
     } else {
       ++overflow_allocs_;
       CATFISH_COUNT("remote.scratch.overflows");
-      overflow_.push_back(std::make_unique<std::byte[]>(buf_bytes_));
-      out = std::span<std::byte>(overflow_.back().get(), buf_bytes_);
+      // The buffer's header records its index in overflow_, so Release
+      // finds it in O(1) however wide the burst.
+      overflow_.push_back(
+          std::make_unique<std::byte[]>(kOverflowHeader + buf_bytes_));
+      std::byte* mem = overflow_.back().get();
+      StoreIndex(mem, overflow_.size() - 1);
+      out = std::span<std::byte>(mem + kOverflowHeader, buf_bytes_);
     }
     ++in_use_;
     if (in_use_ > high_water_) high_water_ = in_use_;
@@ -82,13 +88,17 @@ class ScratchPool {
       free_.push_back(static_cast<uint32_t>(off / buf_bytes_));
       return;
     }
-    for (auto it = overflow_.begin(); it != overflow_.end(); ++it) {
-      if (it->get() == p) {
-        overflow_.erase(it);
-        return;
-      }
+    // Swap-remove by the index in the header; the buffer moved into the
+    // hole gets its header rewritten.
+    const std::byte* mem = p - kOverflowHeader;
+    const size_t idx = LoadIndex(mem);
+    assert(idx < overflow_.size() && overflow_[idx].get() == mem &&
+           "Release of a buffer this pool never handed out");
+    if (idx + 1 != overflow_.size()) {
+      overflow_[idx] = std::move(overflow_.back());
+      StoreIndex(overflow_[idx].get(), idx);
     }
-    assert(false && "Release of a buffer this pool never handed out");
+    overflow_.pop_back();
   }
 
   size_t buf_bytes() const noexcept { return buf_bytes_; }
@@ -100,6 +110,19 @@ class ScratchPool {
   uint64_t overflow_allocs() const noexcept { return overflow_allocs_; }
 
  private:
+  /// Bytes in front of each overflow buffer holding its overflow_ index;
+  /// 16 keeps the buffer itself as aligned as operator new[] returns.
+  static constexpr size_t kOverflowHeader = 16;
+
+  static void StoreIndex(std::byte* mem, size_t idx) noexcept {
+    std::memcpy(mem, &idx, sizeof(idx));
+  }
+  static size_t LoadIndex(const std::byte* mem) noexcept {
+    size_t idx = 0;
+    std::memcpy(&idx, mem, sizeof(idx));
+    return idx;
+  }
+
   size_t buf_bytes_;
   std::vector<std::byte> slab_;
   std::vector<uint32_t> free_;

@@ -118,14 +118,38 @@ void GatherPayloadAt(std::span<const std::byte> chunk, size_t offset,
   }
 }
 
+namespace {
+
+// One line's payload copy. With both buffers 8-aligned the line moves as
+// eight 8-byte relaxed words (the first also carries the version bytes,
+// which the caller overwrites with its stamp); otherwise as the 60
+// payload bytes in 4-byte words. Compilers never widen relaxed atomics,
+// so the word size is chosen here.
+void CopyLine(std::byte* d, const std::byte* s, bool wide) noexcept {
+  if (!wide) {
+    RelaxedCopy(d + kVersionBytes, s + kVersionBytes, kLinePayload);
+    return;
+  }
+  for (size_t off = 0; off < kLineSize; off += sizeof(uint64_t)) {
+    const uint64_t v =
+        std::atomic_ref<uint64_t>(
+            *const_cast<uint64_t*>(reinterpret_cast<const uint64_t*>(s + off)))
+            .load(std::memory_order_relaxed);
+    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(d + off))
+        .store(v, std::memory_order_relaxed);
+  }
+}
+
+}  // namespace
+
 void SnapshotCopy(std::byte* dst, const std::byte* src, size_t n) noexcept {
-  const bool word_aligned =
-      reinterpret_cast<uintptr_t>(dst) % alignof(uint32_t) == 0 &&
-      reinterpret_cast<uintptr_t>(src) % alignof(uint32_t) == 0;
-  if (!word_aligned) {
+  const auto addr_bits = reinterpret_cast<uintptr_t>(dst) |
+                         reinterpret_cast<uintptr_t>(src);
+  if (addr_bits % alignof(uint32_t) != 0) {
     RelaxedCopy(dst, src, n);
     return;
   }
+  const bool wide = addr_bits % alignof(uint64_t) == 0;
   constexpr int kSnapshotRetries = 16;
   const size_t lines = n / kLineSize;
   for (size_t i = 0; i < lines; ++i) {
@@ -135,7 +159,7 @@ void SnapshotCopy(std::byte* dst, const std::byte* src, size_t n) noexcept {
     uint32_t v1 = w->load(std::memory_order_acquire);
     uint32_t v2 = v1;
     for (int attempt = 0;; ++attempt) {
-      RelaxedCopy(d + kVersionBytes, s + kVersionBytes, kLinePayload);
+      CopyLine(d, s, wide);
       // Order the payload loads above before the version re-read below,
       // mirroring the writer's release fences.
       std::atomic_thread_fence(std::memory_order_acquire);

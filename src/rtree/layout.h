@@ -83,8 +83,10 @@ void GatherPayloadAt(std::span<const std::byte> chunk, size_t offset,
 /// with it. After bounded retries, stamp the copy with an odd version so
 /// chunk validation deterministically rejects the line. For non-seqlock
 /// bytes (quiescent or unversioned regions) the first pass always matches
-/// and this degrades to a plain copy. A trailing sub-line remainder and
-/// unaligned buffers fall back to RelaxedCopy.
+/// and this degrades to a plain copy. Lines move as 8-byte words when both
+/// buffers are 8-aligned and as 4-byte words when they are only 4-aligned;
+/// a trailing sub-line remainder and unaligned buffers fall back to
+/// RelaxedCopy.
 void SnapshotCopy(std::byte* dst, const std::byte* src, size_t n) noexcept;
 
 /// Initializes a fresh chunk: zero payload, all versions set to an even

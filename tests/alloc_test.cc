@@ -1,9 +1,12 @@
-// Allocation regression harness for the messaging hot path: after
-// warm-up, the steady-state ring send/receive loop and the server's
-// reply codecs must not touch the global allocator (RingSender::frame_,
-// RingReceiver::scratch_, per-connection reply scratch, trace_wire's
-// append-into-capacity encoder). Counting is done by replacing the
-// global operator new; disabled under sanitizers, whose own allocator
+// Allocation regression harness for the hot paths: after warm-up, the
+// steady-state ring send/receive loop, the server's reply codecs and an
+// offloaded search over rdmasim must not touch the global allocator
+// (RingSender::frame_, RingReceiver::scratch_, per-connection reply
+// scratch, trace_wire's append-into-capacity encoder, the remote
+// engine's and the client's reused search scratch). Counting is done by
+// replacing the global operator new and counts only the thread that
+// opened an AllocCounter, so server threads running beside the measured
+// loop do not show up; disabled under sanitizers, whose own allocator
 // interposition this would fight.
 #include <gtest/gtest.h>
 
@@ -14,9 +17,14 @@
 #include <new>
 #include <vector>
 
+#include "catfish/client.h"
+#include "catfish/server.h"
+#include "common/rng.h"
 #include "msg/protocol.h"
 #include "msg/ring.h"
 #include "rdmasim/rdma.h"
+#include "rtree/bulk_load.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace_wire.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -35,7 +43,7 @@
 
 namespace {
 std::atomic<size_t> g_allocs{0};
-std::atomic<bool> g_counting{false};
+thread_local bool g_counting = false;
 }  // namespace
 
 // The replaced new is malloc-backed, so free() in the deletes below is
@@ -46,9 +54,7 @@ std::atomic<bool> g_counting{false};
 #endif
 
 void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (g_counting) g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
@@ -67,14 +73,14 @@ namespace {
 
 #if CATFISH_ALLOC_COUNTING
 
-/// Counts global operator new calls within a scope.
+/// Counts the calling thread's global operator new calls within a scope.
 class AllocCounter {
  public:
   AllocCounter() {
     g_allocs.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
+    g_counting = true;
   }
-  ~AllocCounter() { g_counting.store(false, std::memory_order_relaxed); }
+  ~AllocCounter() { g_counting = false; }
   size_t count() const { return g_allocs.load(std::memory_order_relaxed); }
 };
 
@@ -182,6 +188,71 @@ TEST(AllocTest, TraceWireEncoderReusesCapacity) {
     allocs = counter.count();
   }
   EXPECT_EQ(allocs, 0u) << "trace encoder hit the allocator";
+}
+
+// A warmed-up offloaded search over rdmasim allocates nothing: READs are
+// staged, posted, completed and validated in reused scratch (engine
+// batcher and retry lists, pooled fetch buffers, QP WR and CQ rings, the
+// client's frontier vectors), and the validate callback is a non-owning
+// reference. The queries are ones that match no entry, so the returned
+// result vector stays unallocated too, yet each one walks the tree.
+TEST(AllocTest, SteadyStateOffloadedSearchIsAllocationFree) {
+  rdma::Fabric fabric(rdma::FabricProfile::Instant());
+  auto server_node = fabric.CreateNode("server");
+  rtree::NodeArena arena(rtree::kChunkSize, 1 << 12);
+  Xoshiro256 rng(7);
+  std::vector<rtree::Entry> items;
+  for (uint64_t i = 0; i < 5000; ++i) {
+    const double x = rng.NextDouble() * 0.999;
+    const double y = rng.NextDouble() * 0.999;
+    items.push_back({geo::Rect{x, y, x + 1e-4, y + 1e-4}, i});
+  }
+  rtree::RStarTree tree = rtree::BulkLoad(arena, items);
+  ServerConfig scfg;
+  scfg.heartbeat_interval_us = 1000;  // several land in the measured loop
+  RTreeServer server(server_node, tree, scfg);
+  RTreeClient client(fabric.CreateNode("client"), server, ClientConfig{});
+
+  // Empty queries only: tiny rectangles that hit no entry.
+  std::vector<geo::Rect> queries;
+  while (queries.size() < 64) {
+    const double x = rng.NextDouble() * 0.999;
+    const double y = rng.NextDouble() * 0.999;
+    const geo::Rect q{x, y, x + 1e-5, y + 1e-5};
+    if (client.SearchOffloaded(q).empty()) queries.push_back(q);
+  }
+  // Warm-up: every scratch buffer reaches the widest level these queries
+  // see, and a few heartbeats pass through PumpPending (the first one
+  // sizes its receive buffer and registers its metrics). The latency
+  // histograms grow with the largest value recorded, so record a huge
+  // one up front; a slow search in the measured loop would otherwise
+  // grow them.
+  for (int round = 0; round < 4 || client.stats().heartbeats_received < 3;
+       ++round) {
+    for (const geo::Rect& q : queries) (void)client.SearchOffloaded(q);
+  }
+  auto& reg = telemetry::Registry::Global();
+  for (const char* name : {"catfish.client.search_offload_us",
+                           "rdma.doorbell.batch_size", "rdma.cq.delay_us"}) {
+    reg.timer(name)->RecordUs(1e9);
+  }
+
+  const uint64_t reads_before = client.stats().rdma_reads;
+  size_t nonempty = 0;
+  size_t allocs = 0;
+  {
+    const AllocCounter counter;
+    for (int round = 0; round < 8; ++round) {
+      for (const geo::Rect& q : queries) {
+        nonempty += client.SearchOffloaded(q).empty() ? 0 : 1;
+      }
+    }
+    allocs = counter.count();
+  }
+  server.Stop();
+  EXPECT_EQ(nonempty, 0u);
+  EXPECT_GT(client.stats().rdma_reads - reads_before, 8 * queries.size());
+  EXPECT_EQ(allocs, 0u) << "steady-state offloaded search hit the allocator";
 }
 
 #else  // !CATFISH_ALLOC_COUNTING

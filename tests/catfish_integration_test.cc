@@ -122,6 +122,28 @@ TEST_F(CatfishIntegrationTest, OffloadTraceMatchesTreeShape) {
   EXPECT_EQ(trace.nodes_per_level[0], 1u);  // root round
 }
 
+// A whole-square offloaded search visits every node, so its leaf level is
+// wider than the client's scratch pool: the round overflows the pool into
+// heap buffers, returns every entry, and leaves no buffer held.
+TEST_F(CatfishIntegrationTest, OffloadLevelWiderThanScratchPool) {
+  SetUpServer();
+  ClientConfig cfg;
+  cfg.scratch_buffers = 8;
+  auto client = MakeClient(cfg);
+  rtree::TraversalTrace trace;
+  const geo::Rect everything{0.0, 0.0, 1.0, 1.0};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(Ids(client->SearchOffloaded(everything, &trace)),
+              oracle_.Search(everything));
+  }
+  ASSERT_FALSE(trace.nodes_per_level.empty());
+  EXPECT_GT(trace.nodes_per_level.back(), cfg.scratch_buffers);
+  const remote::ScratchPool* pool = client->remote_engine().scratch();
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->in_use(), 0u);
+  EXPECT_GT(pool->overflow_allocs(), 0u);
+}
+
 TEST_F(CatfishIntegrationTest, LargeResponseIsSegmented) {
   SetUpServer();
   ClientConfig cfg;

@@ -137,5 +137,28 @@ TEST(LayoutTest, ConcurrentReaderNeverSeesTornPayload) {
   EXPECT_GT(valid_reads.load(), 0u);
 }
 
+// SnapshotCopy moves lines as 8-byte words when both buffers are
+// 8-aligned and as 4-byte words when they are only 4-aligned; both must
+// produce the same image of a quiescent chunk.
+TEST(LayoutTest, SnapshotCopyWideAndNarrowPathsAgree) {
+  alignas(64) std::byte chunk_mem[1024];
+  std::span<std::byte> chunk(chunk_mem, sizeof(chunk_mem));
+  InitChunk(chunk);
+  std::vector<std::byte> payload(PayloadCapacity(1024));
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = std::byte{static_cast<uint8_t>(i * 7 + 3)};
+  }
+  BeginWrite(chunk);
+  ScatterPayload(chunk, payload);
+  EndWrite(chunk);
+
+  alignas(64) std::byte wide[1024 + 8];
+  alignas(64) std::byte narrow[1024 + 8];
+  SnapshotCopy(wide, chunk_mem, 1024);
+  SnapshotCopy(narrow + 4, chunk_mem, 1024);  // 4- but not 8-aligned
+  EXPECT_EQ(std::memcmp(wide, chunk_mem, 1024), 0);
+  EXPECT_EQ(std::memcmp(narrow + 4, chunk_mem, 1024), 0);
+}
+
 }  // namespace
 }  // namespace catfish::rtree

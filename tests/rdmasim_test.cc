@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -516,6 +520,143 @@ TEST(FaultControllerTest, RestartNodeBumpsGenerationAndKillsState) {
   const auto mr2 = reborn->RegisterMemory(arena2);
   ASSERT_TRUE(c_qp2->PostRead(3, local, RemoteAddr{mr2.rkey, 0}));
   EXPECT_EQ(local[0], std::byte{0x77});
+}
+
+// NicStats are summed over per-connection slots: counts survive the QPs
+// that produced them (a released slot keeps its counters for the next QP)
+// and ResetStats clears every slot.
+TEST(RdmaSimTest, NicStatsSumOverConnectionsAndSurviveQpTeardown) {
+  Fabric fabric{FabricProfile::Instant()};
+  auto server = fabric.CreateNode("server");
+  std::vector<std::byte> arena(256, std::byte{0x11});
+  const auto mr = server->RegisterMemory(arena);
+  std::vector<std::byte> local(64);
+  for (int round = 0; round < 3; ++round) {
+    auto client = fabric.CreateNode("client");
+    auto cq = client->CreateCq();
+    auto c_qp = client->CreateQp(cq, client->CreateCq());
+    auto s_qp = server->CreateQp(server->CreateCq(), server->CreateCq());
+    QueuePair::Connect(s_qp, c_qp);
+    ASSERT_TRUE(c_qp->PostRead(1, local, RemoteAddr{mr.rkey, 0}));
+    ASSERT_TRUE(c_qp->PostWrite(2, local, RemoteAddr{mr.rkey, 64}));
+    EXPECT_EQ(client->stats().reads_posted, 1u);
+    EXPECT_EQ(client->stats().bytes_received, 64u);
+    EXPECT_EQ(client->stats().bytes_sent, 64u);
+  }  // every QP and client node of the round is gone here
+  const NicStats s = server->stats();
+  EXPECT_EQ(s.reads_served, 3u);
+  EXPECT_EQ(s.bytes_sent, 3u * 64);
+  EXPECT_EQ(s.bytes_received, 3u * 64);
+  EXPECT_EQ(s.reads_posted, 0u);
+  server->ResetStats();
+  EXPECT_EQ(server->stats().reads_served, 0u);
+  EXPECT_EQ(server->stats().bytes_received, 0u);
+}
+
+// The region barrier under load: reader threads READ one target node
+// while the main thread deregisters regions on it (one at a time and all
+// at once), poisons and frees their bytes as soon as the call returns,
+// and registers fresh ones. A copy that overlapped a deregistration
+// would read poison or freed memory (ASan reports the latter, TSan the
+// unordered poison stores); a READ through a stale rkey must fail with
+// kRemoteAccessError.
+TEST(RdmaSimTest, RegionBarrierHammer) {
+  constexpr size_t kBytes = 4096;
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 1000;
+  constexpr auto kPoison = std::byte{0xDD};
+  Fabric fabric{FabricProfile::Instant()};
+  auto target = fabric.CreateNode("target");
+  std::atomic<uint32_t> published{0};  // rkey the readers aim at
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> good_reads{0};
+  std::atomic<uint64_t> bad{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      auto node = fabric.CreateNode("reader-" + std::to_string(r));
+      auto cq = node->CreateCq();
+      auto qp = node->CreateQp(cq, node->CreateCq());
+      auto peer = target->CreateQp(target->CreateCq(), target->CreateCq());
+      QueuePair::Connect(qp, peer);
+      std::vector<std::byte> local(kBytes);
+      WorkCompletion wc;
+      uint64_t wr = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const uint32_t rkey = published.load(std::memory_order_acquire);
+        if (rkey == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        qp->PostRead(++wr, local, RemoteAddr{rkey, 0});
+        while (cq->Poll({&wc, 1}) == 0) {
+        }
+        if (wc.status == WcStatus::kSuccess) {
+          // One live registration's bytes: a uniform, non-poison fill.
+          const bool clean =
+              local[0] != kPoison &&
+              std::all_of(local.begin(), local.end(),
+                          [&](std::byte b) { return b == local[0]; });
+          (clean ? good_reads : bad).fetch_add(1);
+        } else if (wc.status != WcStatus::kRemoteAccessError) {
+          bad.fetch_add(1);  // a stale rkey may only fail this way
+        }
+      }
+    });
+  }
+
+  // The main thread's own connection, for the stale-rkey checks.
+  auto probe = fabric.CreateNode("probe");
+  auto probe_cq = probe->CreateCq();
+  auto probe_qp = probe->CreateQp(probe_cq, probe->CreateCq());
+  auto probe_peer = target->CreateQp(target->CreateCq(), target->CreateCq());
+  QueuePair::Connect(probe_qp, probe_peer);
+  std::vector<std::byte> probe_buf(kBytes);
+  const auto stale_read_status = [&](uint32_t rkey) {
+    probe_qp->PostRead(0, probe_buf, RemoteAddr{rkey, 0});
+    WorkCompletion wc;
+    EXPECT_EQ(probe_cq->Poll({&wc, 1}), 1u);
+    return wc.status;
+  };
+
+  std::vector<uint32_t> live_rkeys;
+  for (int round = 0; round < kRounds; ++round) {
+    auto mem = std::make_unique<std::byte[]>(kBytes);
+    std::fill_n(mem.get(), kBytes, std::byte{static_cast<uint8_t>(
+                                       1 + round % 200)});
+    const auto mr = target->RegisterMemory({mem.get(), kBytes});
+    live_rkeys.push_back(mr.rkey);
+    published.store(mr.rkey, std::memory_order_release);
+    // Give the readers a few copies against this registration.
+    const uint64_t seen = good_reads.load();
+    const auto until = std::chrono::steady_clock::now() + 2ms;
+    while (good_reads.load() < seen + 2 * kReaders &&
+           std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+    }
+    if (round % 8 == 7) {
+      target->DeregisterAll();
+    } else {
+      target->Deregister(mr);
+    }
+    // From here on no copy may touch these bytes.
+    std::fill_n(mem.get(), kBytes, kPoison);
+    mem.reset();
+    if (round % 8 == 7) {
+      for (const uint32_t rkey : live_rkeys) {
+        EXPECT_EQ(stale_read_status(rkey), WcStatus::kRemoteAccessError);
+      }
+      live_rkeys.clear();
+    } else {
+      EXPECT_EQ(stale_read_status(mr.rkey), WcStatus::kRemoteAccessError);
+      live_rkeys.pop_back();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(good_reads.load(), 0u);
 }
 
 TEST(FabricProfileTest, DelayMath) {

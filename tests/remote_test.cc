@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <stdexcept>
@@ -46,6 +47,10 @@ struct Region {
 
 bool VersionsValid(std::span<const std::byte> image) {
   return rtree::ValidateVersions(image).has_value();
+}
+
+bool VersionsValidAt(size_t, std::span<const std::byte> image) {
+  return VersionsValid(image);
 }
 
 /// Gathers the payload and checks every byte is identical; the seqlock
@@ -500,6 +505,79 @@ TEST(ScratchPoolTest, ReusesSlabAndCountsOverflow) {
   EXPECT_EQ(pool.overflow_allocs(), 1u);
   pool.Release(d);
   EXPECT_EQ(pool.high_water(), 3u);
+}
+
+// A burst far wider than the pool: 4096 overflow buffers, released in a
+// scrambled order so Release's swap-remove keeps moving buffers around.
+// Every held buffer keeps its own bytes until it is released, and the
+// pool ends empty. Then a 4096-chunk FetchChunks round hands every
+// buffer back on each exit path: success, retry exhaustion and a
+// throwing validate.
+TEST(ScratchPoolTest, ReleasesThousandsOfOverflowBuffers) {
+  constexpr size_t kWide = 4096;
+  constexpr size_t kBuf = 64;
+  ScratchPool pool(kBuf, 4);
+  std::vector<std::span<std::byte>> held;
+  for (size_t i = 0; i < kWide; ++i) {
+    held.push_back(pool.Acquire());
+    std::fill(held.back().begin(), held.back().end(),
+              std::byte{static_cast<uint8_t>(i % 251)});
+  }
+  EXPECT_EQ(pool.in_use(), kWide);
+  EXPECT_EQ(pool.overflow_allocs(), kWide - 4);
+  for (size_t k = 0; k < kWide; ++k) {
+    const size_t i = (k * 1237) % kWide;  // 1237 is coprime to 4096
+    for (const std::byte b : held[i]) {
+      ASSERT_EQ(b, std::byte{static_cast<uint8_t>(i % 251)}) << "buffer " << i;
+    }
+    pool.Release(held[i]);
+  }
+  EXPECT_EQ(pool.in_use(), 0u);
+
+  Region region(kWide);
+  for (ChunkId id = 0; id < kWide; ++id) {
+    region.WriteFill(id, std::byte{static_cast<uint8_t>(1 + id % 200)});
+  }
+  LocalMemoryTransport transport(region.mem, kChunk);
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.backoff_cap_us = 1;
+  VersionedFetchEngine engine(&transport, "test", policy);
+  ScratchPool& fetch_pool = engine.EnableScratch(kChunk, 64);
+  std::vector<ChunkId> ids(kWide);
+  for (ChunkId id = 0; id < kWide; ++id) ids[id] = id;
+
+  size_t validated = 0;
+  ASSERT_EQ(engine.FetchChunks(ids,
+                               [&](size_t i, std::span<const std::byte> image) {
+                                 std::byte fill{};
+                                 if (!VersionsValid(image) ||
+                                     !PayloadUniform(image, &fill) ||
+                                     fill != std::byte{static_cast<uint8_t>(
+                                                 1 + i % 200)}) {
+                                   return false;
+                                 }
+                                 ++validated;
+                                 return true;
+                               }),
+            FetchStatus::kOk);
+  EXPECT_EQ(validated, kWide);
+  EXPECT_EQ(fetch_pool.in_use(), 0u);
+  EXPECT_GE(fetch_pool.overflow_allocs(), kWide - 64);
+
+  rtree::BeginWrite(region.Chunk(kWide / 2));  // torn for good
+  EXPECT_EQ(engine.FetchChunks(ids, VersionsValidAt),
+            FetchStatus::kRetriesExhausted);
+  EXPECT_EQ(fetch_pool.in_use(), 0u);
+  rtree::EndWrite(region.Chunk(kWide / 2));
+
+  EXPECT_THROW(engine.FetchChunks(ids,
+                                  [](size_t, std::span<const std::byte>)
+                                      -> bool {
+                                    throw std::runtime_error("decode bug");
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(fetch_pool.in_use(), 0u);
 }
 
 TEST(RemoteEngineTest, FetchChunksReleasesScratchOnEveryExitPath) {
